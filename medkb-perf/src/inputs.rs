@@ -71,12 +71,12 @@ pub fn flagged_findings(world: &MedWorld, out: &IngestOutput) -> Vec<ExtConceptI
     pool
 }
 
-/// The `wire-miss` inputs: the ingested world as a store image, opened,
+/// The `wire-miss` inputs: the ingested world, saved as a store image,
 /// with its flagged clinical findings and the treatment context.
 pub struct ServedWorld {
     /// The store image the server opens.
     pub image: PathBuf,
-    /// The image, opened in the load generator (for the oracle).
+    /// The ingested world, as the load generator holds it (for the oracle).
     pub out: IngestOutput,
     /// Flagged clinical findings, in id order.
     pub pool: Vec<ExtConceptId>,
@@ -84,60 +84,29 @@ pub struct ServedWorld {
     pub context: ContextId,
 }
 
-/// Build or reuse the `wire-miss` inputs. They depend on the code alone —
-/// the world's seeds are fixed and `--seed` only orders the queries — so
-/// the first run in a checkout generates, ingests and saves the world
-/// under `.medkb-perf/cache/`, and later runs open that image instead of
-/// repeating about 15 s of untimed generation and ingest.
-pub fn served_world(scale: Scale) -> Result<ServedWorld, String> {
-    let cache = Path::new(".medkb-perf").join("cache");
-    let dir = cache.join(format!("world-{}", scale.wire_concepts()));
-    let (image, findings) = (dir.join("world.store"), dir.join("findings.txt"));
-    if !(image.is_file() && findings.is_file()) {
-        let tmp = cache.join(format!("building-{}", std::process::id()));
-        std::fs::create_dir_all(&tmp).map_err(|e| format!("cache dir: {e}"))?;
-        let (world, corpus) = world_and_corpus(scale.wire_concepts());
-        let counts = MentionCounts::count(&corpus, &world.terminology.ekg);
-        let out = ingest(
-            &world.kb,
-            world.terminology.ekg.clone(),
-            &counts,
-            None,
-            &serve_config(),
-        )
-        .map_err(|e| format!("ingest: {e}"))?;
-        WorldStore::save(&out, &tmp.join("world.store")).map_err(|e| format!("store save: {e}"))?;
-        flush_to_disk(&tmp.join("world.store"))?;
-        let ids: Vec<String> = flagged_findings(&world, &out)
-            .iter()
-            .map(|c| c.raw().to_string())
-            .collect();
-        std::fs::write(tmp.join("findings.txt"), ids.join("\n"))
-            .map_err(|e| format!("findings: {e}"))?;
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::rename(&tmp, &dir).map_err(|e| format!("cache rename: {e}"))?;
-    }
-    let out = WorldStore::open(&image).map_err(|e| format!("store open: {e}"))?;
-    let pool = std::fs::read_to_string(&findings)
-        .map_err(|e| format!("findings: {e}"))?
-        .split_whitespace()
-        .map(|t| {
-            t.parse()
-                .map(ExtConceptId::new)
-                .map_err(|_| format!("bad concept id {t:?}"))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let context = out
-        .contexts
-        .iter()
-        .find(|c| c.label == "Indication-hasFinding-Finding")
-        .ok_or("no treatment context")?
-        .id;
+/// Generate, ingest and save the `wire-miss` world into `work`. Every run
+/// builds it from the code under test (about 15 s at full scale, untimed).
+pub fn served_world(scale: Scale, work: &WorkDir) -> Result<ServedWorld, String> {
+    let (world, corpus) = world_and_corpus(scale.wire_concepts());
+    let counts = MentionCounts::count(&corpus, &world.terminology.ekg);
+    drop(corpus);
+    let out = ingest(
+        &world.kb,
+        world.terminology.ekg.clone(),
+        &counts,
+        None,
+        &serve_config(),
+    )
+    .map_err(|e| format!("ingest: {e}"))?;
+    drop(counts);
+    let image = work.path("world.store");
+    WorldStore::save(&out, &image).map_err(|e| format!("store save: {e}"))?;
+    flush_to_disk(&image)?;
     Ok(ServedWorld {
         image,
+        pool: flagged_findings(&world, &out),
+        context: world.treatment_context(),
         out,
-        pool,
-        context,
     })
 }
 

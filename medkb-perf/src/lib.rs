@@ -138,6 +138,10 @@ pub struct RunArgs {
     pub trace: bool,
     /// World size.
     pub scale: Scale,
+    /// A fault for the tests: the `update-mix` writer takes each update as
+    /// acknowledged without sending `/reload`, as a server would look that
+    /// acknowledged a reload and kept serving the old snapshot.
+    pub unpublished_reload: bool,
 }
 
 /// Run one workload.

@@ -3,7 +3,8 @@
 //! `medkb-perf steady --workload <name> --runs <n> [--seconds <s>] [--small]`
 //! runs it repeatedly and prints each end-to-end metric's spread;
 //! `medkb-perf serve --store <image>` is the server under test, which the
-//! workloads start themselves.
+//! workloads start themselves. `--fault-unpublished-reload` makes the
+//! `update-mix` writer skip its `/reload` calls, for the tests.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -15,20 +16,24 @@ const USAGE: &str = "usage: medkb-perf --workload <wire-miss|update-mix|ingest-e
                      medkb-perf steady --workload <name> --runs <n> [--seconds <s>] [--small]\n       \
                      medkb-perf serve --store <image>";
 
-/// `--name value` pairs plus bare `--small`.
+/// `--name value` pairs plus the bare flags `--small` and
+/// `--fault-unpublished-reload`.
 struct Flags {
     pairs: Vec<(String, String)>,
     small: bool,
+    unpublished_reload: bool,
 }
 
 impl Flags {
     fn parse(args: &[String]) -> Result<Self, String> {
         let mut pairs = Vec::new();
         let mut small = false;
+        let mut unpublished_reload = false;
         let mut it = args.iter();
         while let Some(a) = it.next() {
             match a.strip_prefix("--") {
                 Some("small") => small = true,
+                Some("fault-unpublished-reload") => unpublished_reload = true,
                 Some(name) => {
                     let v = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
                     pairs.push((name.to_string(), v.clone()));
@@ -36,7 +41,11 @@ impl Flags {
                 None => return Err(format!("unexpected argument {a:?}")),
             }
         }
-        Ok(Self { pairs, small })
+        Ok(Self {
+            pairs,
+            small,
+            unpublished_reload,
+        })
     }
 
     fn get(&self, name: &str) -> Option<&str> {
@@ -90,6 +99,7 @@ fn main() -> ExitCode {
                 seconds: f.need("seconds")?,
                 trace: trace == 1,
                 scale: f.scale(),
+                unpublished_reload: f.unpublished_reload,
             };
             let outcome = run(&args)?;
             if let Some(p) = &outcome.problem {

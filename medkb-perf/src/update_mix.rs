@@ -1,5 +1,5 @@
 //! `update-mix`: one closed-loop reader sends Zipf-skewed `/relax` traffic
-//! over a few hundred concepts, mostly cache hits, while a writer in the
+//! over a hundred hot concepts, mostly cache hits, while a writer in the
 //! same process applies document deltas through `DeltaEngine::apply`,
 //! saves each new world with `WorldStore::save` and publishes it with
 //! `POST /reload`. Reads exercise the HTTP and serve hot path; writes
@@ -8,7 +8,6 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use medkb_core::{ingest, outputs_identical, Delta, DeltaEngine, DeltaOp};
@@ -37,6 +36,9 @@ const ROUND: usize = 100;
 const PROBES: usize = 24;
 /// Document deltas per run.
 pub const UPDATES: usize = 3;
+/// Seconds past `--seconds` after which the reader stops whatever the
+/// writer and the server do, so that a run always ends.
+const LOAD_CAP_S: f64 = 60.0;
 
 struct Shape {
     /// Distinct concepts the reader asks for.
@@ -74,9 +76,15 @@ struct Read {
     concept: ExtConceptId,
     /// Highest epoch a `/reload` had acknowledged when the read was sent.
     required_epoch: u64,
+    sent: Instant,
     received: Instant,
-    latency_s: f64,
     reply: std::io::Result<Reply>,
+}
+
+impl Read {
+    fn latency_s(&self) -> f64 {
+        (self.received - self.sent).as_secs_f64()
+    }
 }
 
 /// One applied update, as the writer saw it.
@@ -205,7 +213,7 @@ pub fn run(args: &RunArgs) -> Result<Outcome, String> {
         .map_err(|e| format!("/metrics: {e}"))?
         .body;
 
-    let tracer = Mutex::new(Tracer::new(args.trace));
+    let mut tracer = Tracer::new(args.trace);
     let reads_done = AtomicUsize::new(0);
     let seen = AtomicU64::new(0);
     let next_start = AtomicUsize::new(shape.first_update);
@@ -213,26 +221,24 @@ pub fn run(args: &RunArgs) -> Result<Outcome, String> {
     let writer_done = AtomicBool::new(false);
     let reader_gone = AtomicBool::new(false);
     let started = Instant::now();
-    let (reads, updates) = std::thread::scope(|scope| {
-        let writer = scope.spawn(|| -> Result<Vec<Update>, String> {
-            let result = (|| {
+    let (reads, stall, (updates, writer_error)) = std::thread::scope(|scope| {
+        let tracer = &mut tracer;
+        let writer = scope.spawn(|| {
+            let mut updates = Vec::with_capacity(UPDATES);
+            let error = (|| -> Result<(), String> {
                 let mut client =
                     Client::connect(addr).map_err(|e| format!("writer connect: {e}"))?;
-                let mut updates = Vec::with_capacity(UPDATES);
                 for (i, delta) in deltas.iter().enumerate() {
                     while seen.load(Ordering::SeqCst) < i as u64
                         || reads_done.load(Ordering::SeqCst) < next_start.load(Ordering::SeqCst)
                     {
                         if reader_gone.load(Ordering::SeqCst) {
-                            return Err("reader stopped before every update was applied".into());
+                            return Err(format!("the reader stopped before update {}", i + 1));
                         }
                         std::thread::sleep(Duration::from_micros(200));
                     }
                     let r = i as u64;
-                    let root = tracer
-                        .lock()
-                        .expect("tracer lock")
-                        .start("writer.update", r, None);
+                    let root = tracer.start("writer.update", r, None);
                     let apply_started = Instant::now();
                     engine.apply(delta).map_err(|e| format!("delta {i}: {e}"))?;
                     let saving = Instant::now();
@@ -240,24 +246,30 @@ pub fn run(args: &RunArgs) -> Result<Outcome, String> {
                         .map_err(|e| format!("store save: {e}"))?;
                     let reloading = Instant::now();
                     let body = format!("{{\"path\":{}}}", escape(&images[i + 1].to_string_lossy()));
-                    let reply = client
-                        .call("POST", "/reload", Some(&body))
-                        .map_err(|e| format!("/reload: {e}"))?;
-                    let done = Instant::now();
                     let epoch = (i + 1) as u64;
+                    let reply = if args.unpublished_reload {
+                        Reply {
+                            status: 200,
+                            body: format!("{{\"epoch\":{epoch}}}"),
+                        }
+                    } else {
+                        client
+                            .call("POST", "/reload", Some(&body))
+                            .map_err(|e| format!("/reload: {e}"))?
+                    };
+                    let done = Instant::now();
                     if reply.status != 200 || reply.body != format!("{{\"epoch\":{epoch}}}") {
                         return Err(format!("/reload answered {} {}", reply.status, reply.body));
                     }
                     acked.store(epoch, Ordering::SeqCst);
-                    let mut t = tracer.lock().expect("tracer lock");
                     for (name, from, to) in [
                         ("core.delta_apply", apply_started, saving),
                         ("store.save", saving, reloading),
                         ("serve.reload", reloading, done),
                     ] {
-                        t.record(name, r, Some(root), from, to);
+                        tracer.record(name, r, Some(root), from, to);
                     }
-                    t.end(root);
+                    tracer.end(root);
                     updates.push(Update {
                         apply_started,
                         apply_s: (saving - apply_started).as_secs_f64(),
@@ -265,25 +277,30 @@ pub fn run(args: &RunArgs) -> Result<Outcome, String> {
                         reload_s: (done - reloading).as_secs_f64(),
                     });
                 }
-                Ok(updates)
-            })();
+                Ok(())
+            })()
+            .err();
             writer_done.store(true, Ordering::SeqCst);
-            result
+            (updates, error)
         });
 
         // The reader: whole rounds until every update has been seen, the
         // gap after the last one is read, and the requested duration is
-        // reached.
+        // reached; or until the writer fails, an acknowledged epoch stays
+        // unseen for a gap of reads, or the phase reaches its cap.
         let mut reads: Vec<Read> =
             Vec::with_capacity(shape.first_update + (UPDATES + 1) * 2 * shape.gap);
         let mut seen_epoch = 0u64;
-        loop {
+        // The read count when the reader first found an acknowledged epoch
+        // it had not yet been answered at.
+        let mut unseen_since: Option<usize> = None;
+        let stall = loop {
             for _ in 0..ROUND {
                 let concept = stream[reads.len() % stream.len()];
                 let bytes =
                     Client::request_bytes("POST", "/relax", Some(&relax_body(concept, context)));
                 let required_epoch = acked.load(Ordering::SeqCst);
-                let t0 = Instant::now();
+                let sent = Instant::now();
                 let reply = reader.send(&bytes);
                 let received = Instant::now();
                 if let Ok(r) = &reply {
@@ -296,37 +313,45 @@ pub fn run(args: &RunArgs) -> Result<Outcome, String> {
                 } else if let Ok(c) = Client::connect(addr) {
                     reader = c;
                 }
-                if args.trace {
-                    tracer.lock().expect("tracer lock").record(
-                        "wire.request",
-                        reads.len() as u64,
-                        None,
-                        t0,
-                        received,
-                    );
+                if required_epoch <= seen_epoch {
+                    unseen_since = None;
+                } else if unseen_since.is_none() {
+                    unseen_since = Some(reads.len());
                 }
                 reads.push(Read {
                     concept,
                     required_epoch,
+                    sent,
                     received,
-                    latency_s: (received - t0).as_secs_f64(),
                     reply,
                 });
                 reads_done.store(reads.len(), Ordering::SeqCst);
+            }
+            let elapsed = started.elapsed().as_secs_f64();
+            if let Some(since) = unseen_since.filter(|&s| reads.len() - s >= shape.gap) {
+                break Some(format!(
+                    "epoch {} was acknowledged but not seen in the {} reads after read {since}",
+                    acked.load(Ordering::SeqCst),
+                    reads.len() - since
+                ));
+            }
+            if elapsed >= args.seconds + LOAD_CAP_S {
+                break Some(format!(
+                    "the load phase passed its cap at epoch {seen_epoch} of {UPDATES}"
+                ));
             }
             let all_seen =
                 seen_epoch == UPDATES as u64 && reads.len() >= next_start.load(Ordering::SeqCst);
             let writer_failed =
                 writer_done.load(Ordering::SeqCst) && acked.load(Ordering::SeqCst) < UPDATES as u64;
-            if (all_seen || writer_failed) && started.elapsed().as_secs_f64() >= args.seconds {
-                break;
+            if (all_seen || writer_failed) && elapsed >= args.seconds {
+                break None;
             }
-        }
+        };
         reader_gone.store(true, Ordering::SeqCst);
-        (reads, writer.join().expect("writer thread panicked"))
+        (reads, stall, writer.join().expect("writer thread panicked"))
     });
     let load_s = started.elapsed().as_secs_f64();
-    let updates = updates?;
     let peak_rss_mb = server.peak_rss_mb()?;
     let metrics_after = reader
         .call("GET", "/metrics", None)
@@ -334,11 +359,16 @@ pub fn run(args: &RunArgs) -> Result<Outcome, String> {
         .body;
     drop(reader);
     server.stop()?;
-    let mut tracer = tracer.into_inner().expect("tracer lock");
+    for (i, r) in reads.iter().enumerate() {
+        tracer.record("wire.request", i as u64, None, r.sent, r.received);
+    }
 
     // Checks: every answer, the epoch rules, the store round trip, the
-    // delta contract, and the oracle on a sample at the last epoch.
+    // delta contract, and the oracle on a sample at the last epoch. An
+    // update whose epoch never reached the reader is a failed operation.
     let check_started = Instant::now();
+    checks.check("reader", stall.map_or(Ok(()), Err));
+    checks.check("writer", writer_error.clone().map_or(Ok(()), Err));
     let parsed: Vec<Option<Served>> = reads
         .iter()
         .map(|r| check_reply(&mut checks, &r.reply, r.concept, K, config.max_radius))
@@ -349,15 +379,19 @@ pub fn run(args: &RunArgs) -> Result<Outcome, String> {
         .zip(&parsed)
         .filter_map(|(r, p)| p.as_ref().map(|s| (s.epoch, r.required_epoch)))
         .collect();
-    checks.check("reader epochs", check_epochs(&epochs, UPDATES as u64));
+    checks.check("reader epochs", check_epochs(&epochs, updates.len() as u64));
 
-    let final_image = &images[UPDATES];
-    match WorldStore::open(final_image) {
-        Ok(opened) => checks.expect(
-            "the saved image round-trips to the engine's output",
-            outputs_identical(&opened, engine.output()),
-        ),
-        Err(e) => checks.check("open the last image", Err(e.to_string())),
+    // The last image the writer published; when the writer failed, the
+    // engine may be ahead of it, so the checks that compare the two skip.
+    let final_image = &images[updates.len()];
+    if writer_error.is_none() {
+        match WorldStore::open(final_image) {
+            Ok(opened) => checks.expect(
+                "the saved image round-trips to the engine's output",
+                outputs_identical(&opened, engine.output()),
+            ),
+            Err(e) => checks.check("open the last image", Err(e.to_string())),
+        }
     }
     let counts = MentionCounts::count(engine.corpus(), engine.native_ekg());
     match ingest(
@@ -376,9 +410,10 @@ pub fn run(args: &RunArgs) -> Result<Outcome, String> {
     drop(counts);
     let last: Vec<usize> = (0..parsed.len())
         .filter(|&i| {
-            parsed[i]
-                .as_ref()
-                .is_some_and(|s| s.epoch == UPDATES as u64)
+            writer_error.is_none()
+                && parsed[i]
+                    .as_ref()
+                    .is_some_and(|s| s.epoch == UPDATES as u64)
         })
         .collect();
     for p in sample_indices(last.len(), shape.oracle_samples, args.seed ^ 0x0AC1E) {
@@ -411,17 +446,10 @@ pub fn run(args: &RunArgs) -> Result<Outcome, String> {
                 .map(|(r, _)| (r.received - u.apply_started).as_secs_f64())
         })
         .collect();
-    // The reader stops only after seeing the last epoch, and a failed
-    // update has already ended the run, so every update has a freshness.
-    if freshness.len() != UPDATES {
-        return Err(format!(
-            "{} of {UPDATES} updates reached the reader",
-            freshness.len()
-        ));
-    }
+    failed += (UPDATES - freshness.len()) as u64;
 
     let attempted = (warm.len() + reads.len() + UPDATES) as u64;
-    let latencies: Vec<f64> = reads.iter().map(|r| r.latency_s).collect();
+    let latencies: Vec<f64> = reads.iter().map(Read::latency_s).collect();
     let p50 = median(&latencies) * 1e3;
     // Printed, not reported: see the README on the 99th percentile.
     let p99 = quantile(&latencies, 0.99) * 1e3;
@@ -430,7 +458,6 @@ pub fn run(args: &RunArgs) -> Result<Outcome, String> {
         .iter()
         .filter(|p| p.as_ref().is_some_and(|s| s.served_from == "cache"))
         .count();
-    let fresh_ms = median(&freshness) * 1e3;
     eprintln!(
         "[medkb-perf] update-mix: {} reads in {load_s:.2}s, p50 {p50:.3} ms, p99 {p99:.3} ms, \
          {qps:.1} req/s, hit ratio {:.3}, freshness {:?} ms, apply {:?} s, save {:?} s, reload {:?} s, \
@@ -450,35 +477,41 @@ pub fn run(args: &RunArgs) -> Result<Outcome, String> {
             .enumerate()
             .filter(|(_, (_, p))| {
                 p.as_ref()
-                    .is_some_and(|s| s.epoch == UPDATES as u64 && s.served_from == "cache")
+                    .is_some_and(|s| s.epoch == updates.len() as u64 && s.served_from == "cache")
             })
             .map(|(i, (r, _))| WireSample {
                 request: i as u64,
                 concept: r.concept,
-                latency_s: r.latency_s,
+                latency_s: r.latency_s(),
                 hit: true,
             })
             .collect();
         let mut m = probe_layers(&mut tracer, final_image, context, &final_hits, PROBES)?;
         m.extend(lcs_metrics(&metrics_before, &metrics_after)?);
-        m.extend([
-            Metric::new(
-                "core.delta_apply_ms",
-                median(&updates.iter().map(|u| u.apply_s).collect::<Vec<_>>()) * 1e3,
-                "ms",
-            ),
-            Metric::new(
-                "store.save_s",
-                median(&updates.iter().map(|u| u.save_s).collect::<Vec<_>>()),
-                "s",
-            ),
-            Metric::new(
-                "serve.reload_ms",
-                median(&updates.iter().map(|u| u.reload_s).collect::<Vec<_>>()) * 1e3,
-                "ms",
-            ),
-            Metric::new("serve.hit_ratio", hits as f64 / reads.len() as f64, "ratio"),
-        ]);
+        if !updates.is_empty() {
+            m.extend([
+                Metric::new(
+                    "core.delta_apply_ms",
+                    median(&updates.iter().map(|u| u.apply_s).collect::<Vec<_>>()) * 1e3,
+                    "ms",
+                ),
+                Metric::new(
+                    "store.save_s",
+                    median(&updates.iter().map(|u| u.save_s).collect::<Vec<_>>()),
+                    "s",
+                ),
+                Metric::new(
+                    "serve.reload_ms",
+                    median(&updates.iter().map(|u| u.reload_s).collect::<Vec<_>>()) * 1e3,
+                    "ms",
+                ),
+            ]);
+        }
+        m.push(Metric::new(
+            "serve.hit_ratio",
+            hits as f64 / reads.len() as f64,
+            "ratio",
+        ));
         let path =
             WorkDir::trace_path("update-mix", args.seed).map_err(|e| format!("trace dir: {e}"))?;
         tracer
@@ -486,18 +519,25 @@ pub fn run(args: &RunArgs) -> Result<Outcome, String> {
             .map_err(|e| format!("write trace: {e}"))?;
         m
     } else {
-        vec![
+        let mut m = vec![
             Metric::new("setup_s", median(&setups), "s"),
             Metric::new("latency_p50_ms", p50, "ms"),
             Metric::new("throughput_qps", qps, "req/s"),
-            Metric::new("freshness_ms", fresh_ms, "ms"),
+        ];
+        // Absent only when no update reached the reader, which has
+        // already failed the run.
+        if !freshness.is_empty() {
+            m.push(Metric::new("freshness_ms", median(&freshness) * 1e3, "ms"));
+        }
+        m.extend([
             Metric::new("peak_rss_mb", peak_rss_mb, "MB"),
             Metric::new(
                 "store_mb",
                 file_mb(final_image).map_err(|e| format!("store size: {e}"))?,
                 "MB",
             ),
-        ]
+        ]);
+        m
     };
     Ok(Outcome {
         correct: checks.passed(),

@@ -45,17 +45,17 @@ fn trace_samples(scale: Scale) -> usize {
 
 /// Run the workload.
 pub fn run(args: &RunArgs) -> Result<Outcome, String> {
+    let work = WorkDir::new("wire-miss").map_err(|e| format!("scratch dir: {e}"))?;
     let config = serve_config();
 
-    // Input preparation (untimed): world, first ingest, store image;
-    // cached per checkout, see `served_world`.
+    // Input preparation (untimed): world, first ingest, store image.
     let prep = Instant::now();
     let ServedWorld {
         image,
         out,
         pool,
         context,
-    } = served_world(args.scale)?;
+    } = served_world(args.scale, &work)?;
     let store_mb = file_mb(&image).map_err(|e| format!("store size: {e}"))?;
     let pool = shuffled(&pool, args.seed);
     let (warmup, measured) = pool.split_at(WARMUP.min(pool.len() / 4));

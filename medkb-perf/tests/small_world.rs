@@ -38,24 +38,33 @@ fn metric_names(list: &str) -> BTreeSet<String> {
         .collect()
 }
 
-/// Run the benchmark binary on the small world and return its result line.
-fn run_small(workload: &str, trace: u8) -> Json {
+/// Run the benchmark binary on the small world, with `extra` flags, and
+/// return whether it succeeded, its result line and its standard error.
+fn run_small_with(workload: &str, trace: u8, extra: &[&str]) -> (bool, Json, String) {
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("{workload}-{trace}"));
     std::fs::create_dir_all(&dir).expect("test dir");
     let out = Command::new(env!("CARGO_BIN_EXE_medkb-perf"))
         .current_dir(&dir)
         .args(["--workload", workload, "--seed", "11", "--seconds", "0.5"])
         .args(["--trace", &trace.to_string(), "--small"])
+        .args(extra)
         .output()
         .expect("benchmark runs");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "{workload}: {}\n{}",
-        out.status,
-        String::from_utf8_lossy(&out.stderr)
-    );
-    Json::parse(stdout.lines().last().expect("a result line")).expect("result line is JSON")
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    let line = stdout
+        .lines()
+        .last()
+        .unwrap_or_else(|| panic!("{workload}: no result line\n{stderr}"));
+    let result = Json::parse(line).expect("result line is JSON");
+    (out.status.success(), result, stderr)
+}
+
+/// Run the benchmark binary on the small world and return its result line.
+fn run_small(workload: &str, trace: u8) -> Json {
+    let (ok, result, stderr) = run_small_with(workload, trace, &[]);
+    assert!(ok, "{workload}: failed\n{stderr}");
+    result
 }
 
 fn check_small_run(workload: &str, expected_e2e: &[&str]) {
@@ -250,6 +259,22 @@ fn corrupted_epochs_fail_the_epoch_check() {
     assert!(
         check_epochs(&[(0, 0), (4, 0)], 3).is_err(),
         "epoch beyond the last update"
+    );
+}
+
+#[test]
+fn a_reload_acknowledged_but_not_published_fails_the_run() {
+    let (ok, result, stderr) = run_small_with("update-mix", 0, &["--fault-unpublished-reload"]);
+    assert!(!ok, "the run passed:\n{stderr}");
+    assert_eq!(result.get("correct"), Some(&Json::Bool(false)), "{stderr}");
+    assert_eq!(
+        result.get("failed").and_then(Json::as_u64),
+        Some(medkb_perf::update_mix::UPDATES as u64),
+        "every unseen epoch is a failed update"
+    );
+    assert!(
+        stderr.contains("acknowledged but not seen"),
+        "the reader did not report the stall:\n{stderr}"
     );
 }
 
