@@ -1,38 +1,24 @@
-//! `ingest-embed`: Algorithm 1 offline with the production configuration
-//! (embedding matcher) on a ~50k-concept world — mention counting, SGNS
-//! training and the SIF fit, `ingest_with_stats`, and `WorldStore::save`.
-//! The brute-force nearest-neighbour mapping stage dominates; neither
-//! `serve` nor `http` runs.
+//! The ingest checks every workload makes, and the embedding pieces of
+//! `ingest-embed`: SGNS training plus the SIF fit (its set-up), and the
+//! checks on the embedding matcher's output.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use medkb_core::{
-    ingest, ingest_with_stats, outputs_identical, IngestOutput, MappingMethod, RelaxConfig,
-};
-use medkb_corpus::MentionCounts;
+use medkb_core::{ingest, IngestOutput, MappingMethod, RelaxConfig};
+use medkb_corpus::{Corpus, MentionCounts};
 use medkb_embed::{EmbeddingIndex, SgnsConfig, SifModel, WordVectors};
 use medkb_snomed::{ContextTag, MedWorld};
-use medkb_store::WorldStore;
 use medkb_types::{ExtConceptId, Id};
 
-use crate::inputs::{file_mb, peak_rss_mb, sample_indices, world_and_corpus, Scale, WorkDir};
-use crate::stats::median;
-use crate::trace::Tracer;
-use crate::{Checks, Metric, Outcome, RunArgs};
+use crate::inputs::sample_indices;
+use crate::Checks;
 
-/// SGNS trainings per run; `setup_s` is their median.
-const TRAININGS: usize = 3;
+/// SGNS trainings per run; `setup_s` of `ingest-embed` is their median.
+pub const TRAININGS: usize = 3;
 /// Largest difference between two cosines that still counts as equal
 /// (the index scores an f32-normalized query, the check an f64 one).
 const COSINE_TOLERANCE: f64 = 1e-6;
-
-fn search_samples(scale: Scale) -> usize {
-    match scale {
-        Scale::Full => 64,
-        Scale::Small => 32,
-    }
-}
 
 /// The embedding model configuration of the repository's ingest
 /// benchmarks.
@@ -186,40 +172,22 @@ pub fn mapping_f1(world: &MedWorld, out: &IngestOutput) -> f64 {
     }
 }
 
-/// Run the workload.
-pub fn run(args: &RunArgs) -> Result<Outcome, String> {
-    let work = WorkDir::new("ingest-embed").map_err(|e| format!("scratch dir: {e}"))?;
-    let mut tracer = Tracer::new(args.trace);
-    let config = RelaxConfig::default();
-    if !matches!(config.mapping, MappingMethod::Embedding { .. }) {
-        return Err("the production configuration no longer maps with embeddings".into());
-    }
-
-    let prep = Instant::now();
-    let (world, corpus) = world_and_corpus(args.scale.embed_concepts());
-    let ekg = &world.terminology.ekg;
-    eprintln!(
-        "[medkb-perf] inputs ready in {:.2}s",
-        prep.elapsed().as_secs_f64()
-    );
-
-    // Set-up: SGNS training plus the SIF fit, several times. A training
-    // whose word vectors are not all finite is a failed operation: at 50k
-    // concepts SGNS diverges to NaN on every run, whatever the seed (see
-    // "The one failing operation" in README.md), and the mapper then maps
-    // by exact name only.
-    let mut checks = Checks::default();
+/// Train [`TRAININGS`] models (SGNS plus the SIF fit) on `corpus`: the
+/// set-up of `ingest-embed`. Returns the last model, each training's
+/// seconds and the number of trainings whose word vectors are not all
+/// finite, a failed operation each: at 50k concepts SGNS diverges to NaN
+/// on every run, whatever the seed (see "The one failing operation" in
+/// README.md), and the mapper then maps by exact name only.
+pub fn train(corpus: &Corpus, checks: &mut Checks) -> (Arc<SifModel>, Vec<f64>, u64) {
     let mut train_s = Vec::with_capacity(TRAININGS);
-    let mut failed = 0u64;
+    let mut diverged = 0u64;
     let mut sif: Option<SifModel> = None;
-    for r in 0..TRAININGS as u64 {
+    for _ in 0..TRAININGS {
         let t = Instant::now();
-        let model = tracer.leaf("embed.train", r, None, || {
-            SifModel::fit(WordVectors::train(&corpus, &sgns_config()), &corpus, 1e-3)
-        });
+        let model = SifModel::fit(WordVectors::train(corpus, &sgns_config()), corpus, 1e-3);
         train_s.push(t.elapsed().as_secs_f64());
         if !vectors_finite(model.vectors()) {
-            failed += 1;
+            diverged += 1;
         }
         if let Some(previous) = &sif {
             checks.expect(
@@ -229,47 +197,25 @@ pub fn run(args: &RunArgs) -> Result<Outcome, String> {
         }
         sif = Some(model);
     }
-    let sif = Arc::new(sif.expect("at least one training"));
+    (
+        Arc::new(sif.expect("at least one training")),
+        train_s,
+        diverged,
+    )
+}
 
-    // The ingest: counting, Algorithm 1, store save.
-    let image = work.path("world.store");
-    let t = Instant::now();
-    let counts = tracer.leaf("corpus.count", 0, None, || {
-        MentionCounts::count(&corpus, ekg)
-    });
-    let count_s = t.elapsed().as_secs_f64();
-    let (out, stats) = tracer
-        .leaf("core.ingest", 0, None, || {
-            ingest_with_stats(
-                &world.kb,
-                ekg.clone(),
-                &counts,
-                Some(Arc::clone(&sif)),
-                &config,
-            )
-        })
-        .map_err(|e| format!("ingest: {e}"))?;
-    let t = Instant::now();
-    tracer
-        .leaf("store.save", 0, None, || WorldStore::save(&out, &image))
-        .map_err(|e| format!("store save: {e}"))?;
-    let save_s = t.elapsed().as_secs_f64();
-    let ingest_s = count_s + stats.total_s + save_s;
-    let peak_rss_mb = peak_rss_mb(std::process::id()).map_err(|e| format!("VmHWM: {e}"))?;
-    let store_mb = file_mb(&image).map_err(|e| format!("store size: {e}"))?;
-
-    // Checks on the ingest output.
-    let check_started = Instant::now();
-    match WorldStore::open(&image) {
-        Ok(opened) => checks.expect(
-            "the store round trip keeps the output",
-            outputs_identical(&opened, &out),
-        ),
-        Err(e) => checks.check("store open", Err(e.to_string())),
-    }
-    checks.check("flagged = concepts with instances", check_flagged(&out));
-    checks.check("instances_of inverts mappings", check_inverse(&out));
-    checks.check("IC finite and non-negative", check_ic(&out));
+/// The checks on an embedding-matcher ingest output: `EmbeddingIndex::search`
+/// against a brute-force cosine scan for `samples` seeded instance phrases,
+/// and Table 1's order, embedding F1 ≥ exact F1 against the generator's
+/// gold mapping.
+pub fn check_embedding(
+    checks: &mut Checks,
+    world: &MedWorld,
+    out: &IngestOutput,
+    counts: &MentionCounts,
+    samples: usize,
+    seed: u64,
+) -> Result<(), String> {
     let parts = out.mapper.to_parts();
     let model = out
         .mapper
@@ -279,21 +225,16 @@ pub fn run(args: &RunArgs) -> Result<Outcome, String> {
     let index =
         EmbeddingIndex::from_raw(dim, parts.index_payloads.clone(), parts.index_data.clone());
     let names: Vec<&str> = world.kb.instances().map(|(_, i)| &*i.name).collect();
-    let mut search_s = Vec::new();
-    let mut compared = 0usize;
-    for (r, i) in sample_indices(names.len(), search_samples(args.scale), args.seed)
-        .into_iter()
-        .enumerate()
-    {
+    let (mut embedded, mut compared) = (0usize, 0usize);
+    for i in sample_indices(names.len(), samples, seed) {
         let Some(query) = model.embed(names[i]) else {
             continue;
         };
-        let t = Instant::now();
-        let hits = tracer.leaf("embed.search", r as u64, None, || index.search(&query, 1));
-        search_s.push(t.elapsed().as_secs_f64());
-        // A diverged model embeds every phrase as NaN; its searches are
-        // timed but there is no nearest neighbour to agree on.
+        embedded += 1;
+        // A diverged model embeds every phrase as NaN: there is no nearest
+        // neighbour to agree on.
         if query.iter().all(|x| x.is_finite()) {
+            let hits = index.search(&query, 1);
             let (best, near) =
                 brute_force_best(dim, &parts.index_payloads, &parts.index_data, &query);
             checks.check(
@@ -303,15 +244,15 @@ pub fn run(args: &RunArgs) -> Result<Outcome, String> {
             compared += 1;
         }
     }
-    checks.expect("some sampled instance phrases embed", !search_s.is_empty());
+    checks.expect("some sampled instance phrases embed", embedded > 0);
     checks.expect(
         "a finite model embeds some sampled phrase finitely",
-        failed > 0 || compared > 0,
+        !vectors_finite(model.vectors()) || compared > 0,
     );
     let exact = ingest(
         &world.kb,
-        ekg.clone(),
-        &counts,
+        world.terminology.ekg.clone(),
+        counts,
         None,
         &RelaxConfig {
             mapping: MappingMethod::Exact,
@@ -319,7 +260,7 @@ pub fn run(args: &RunArgs) -> Result<Outcome, String> {
         },
     )
     .map_err(|e| format!("exact ingest: {e}"))?;
-    let (f1_embedding, f1_exact) = (mapping_f1(&world, &out), mapping_f1(&world, &exact));
+    let (f1_embedding, f1_exact) = (mapping_f1(world, out), mapping_f1(world, &exact));
     checks.check(
         "Table 1 order: embedding F1 ≥ exact F1",
         if f1_embedding >= f1_exact {
@@ -329,47 +270,7 @@ pub fn run(args: &RunArgs) -> Result<Outcome, String> {
         },
     );
     eprintln!(
-        "[medkb-perf] checks took {:.2}s",
-        check_started.elapsed().as_secs_f64()
+        "[medkb-perf] F1 embedding {f1_embedding:.4} exact {f1_exact:.4}, {compared} searches compared"
     );
-    eprintln!(
-        "[medkb-perf] ingest-embed: train {train_s:?} s, count {count_s:.3} s, ingest {:.3} s \
-         (mapping {:.3} s), save {save_s:.3} s, F1 embedding {f1_embedding:.4} exact {f1_exact:.4}, \
-         {failed} of {TRAININGS} trainings diverged, trace {}",
-        stats.total_s, stats.mapping_s, args.trace
-    );
-
-    let attempted = (TRAININGS + 3) as u64;
-    let metrics = if args.trace {
-        let path = WorkDir::trace_path("ingest-embed", args.seed)
-            .map_err(|e| format!("trace dir: {e}"))?;
-        tracer
-            .write_jsonl(&path)
-            .map_err(|e| format!("write trace: {e}"))?;
-        vec![
-            Metric::new("corpus.count_s", count_s, "s"),
-            Metric::new("embed.train_s", median(&train_s), "s"),
-            Metric::new("core.ingest.contexts_s", stats.contexts_s, "s"),
-            Metric::new("core.ingest.mapping_s", stats.mapping_s, "s"),
-            Metric::new("core.ingest.reach_s", stats.reach_s, "s"),
-            Metric::new("core.ingest.freqs_s", stats.freqs_s, "s"),
-            Metric::new("core.ingest.shortcuts_s", stats.shortcuts_s, "s"),
-            Metric::new("embed.search_us", median(&search_s) * 1e6, "us"),
-            Metric::new("store.save_s", save_s, "s"),
-        ]
-    } else {
-        vec![
-            Metric::new("setup_s", median(&train_s), "s"),
-            Metric::new("ingest_s", ingest_s, "s"),
-            Metric::new("peak_rss_mb", peak_rss_mb, "MB"),
-            Metric::new("store_mb", store_mb, "MB"),
-        ]
-    };
-    Ok(Outcome {
-        correct: checks.passed(),
-        attempted,
-        failed,
-        metrics,
-        problem: checks.problem(),
-    })
+    Ok(())
 }

@@ -7,39 +7,20 @@
 
 use std::path::{Path, PathBuf};
 
-use medkb_core::{ingest, IngestOutput, MappingMethod, RelaxConfig};
-use medkb_corpus::{Corpus, MentionCounts};
+use medkb_core::{IngestOutput, MappingMethod, RelaxConfig};
+use medkb_corpus::Corpus;
 use medkb_snomed::{Hierarchy, MedWorld};
-use medkb_store::WorldStore;
-use medkb_types::{ContextId, ExtConceptId};
+use medkb_types::ExtConceptId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// World size of a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// SNOMED CT scale for the wire workloads, 50k concepts for ingest.
+    /// SNOMED CT scale for `wire-miss`, 50k concepts for `ingest-embed`.
     Full,
     /// A few thousand concepts: every check, in seconds (the tests).
     Small,
-}
-
-impl Scale {
-    /// Concepts in the world the two wire workloads serve.
-    pub fn wire_concepts(self) -> usize {
-        match self {
-            Scale::Full => 350_000,
-            Scale::Small => 4_000,
-        }
-    }
-
-    /// Concepts in the world `ingest-embed` ingests.
-    pub fn embed_concepts(self) -> usize {
-        match self {
-            Scale::Full => 50_000,
-            Scale::Small => 2_000,
-        }
-    }
 }
 
 /// `k` of every `/relax` request.
@@ -69,45 +50,6 @@ pub fn flagged_findings(world: &MedWorld, out: &IngestOutput) -> Vec<ExtConceptI
         .collect();
     pool.sort();
     pool
-}
-
-/// The `wire-miss` inputs: the ingested world, saved as a store image,
-/// with its flagged clinical findings and the treatment context.
-pub struct ServedWorld {
-    /// The store image the server opens.
-    pub image: PathBuf,
-    /// The ingested world, as the load generator holds it (for the oracle).
-    pub out: IngestOutput,
-    /// Flagged clinical findings, in id order.
-    pub pool: Vec<ExtConceptId>,
-    /// The `Indication-hasFinding-Finding` context.
-    pub context: ContextId,
-}
-
-/// Generate, ingest and save the `wire-miss` world into `work`. Every run
-/// builds it from the code under test (about 15 s at full scale, untimed).
-pub fn served_world(scale: Scale, work: &WorkDir) -> Result<ServedWorld, String> {
-    let (world, corpus) = world_and_corpus(scale.wire_concepts());
-    let counts = MentionCounts::count(&corpus, &world.terminology.ekg);
-    drop(corpus);
-    let out = ingest(
-        &world.kb,
-        world.terminology.ekg.clone(),
-        &counts,
-        None,
-        &serve_config(),
-    )
-    .map_err(|e| format!("ingest: {e}"))?;
-    drop(counts);
-    let image = work.path("world.store");
-    WorldStore::save(&out, &image).map_err(|e| format!("store save: {e}"))?;
-    flush_to_disk(&image)?;
-    Ok(ServedWorld {
-        image,
-        pool: flagged_findings(&world, &out),
-        context: world.treatment_context(),
-        out,
-    })
 }
 
 /// A seeded Fisher–Yates shuffle.

@@ -11,18 +11,17 @@ pub mod answer;
 pub mod client;
 pub mod ingest_embed;
 pub mod inputs;
+pub mod pipeline;
 pub mod probe;
 pub mod server;
 pub mod stats;
 pub mod steady;
 pub mod trace;
-pub mod update_mix;
-pub mod wire_miss;
 
 pub use inputs::Scale;
 
 /// The workloads, in the order `BENCHMARK.json` lists them.
-pub const WORKLOADS: [&str; 3] = ["wire-miss", "update-mix", "ingest-embed"];
+pub const WORKLOADS: [&str; 2] = ["wire-miss", "ingest-embed"];
 
 /// One reported metric.
 #[derive(Debug, Clone, PartialEq)]
@@ -138,7 +137,7 @@ pub struct RunArgs {
     pub trace: bool,
     /// World size.
     pub scale: Scale,
-    /// A fault for the tests: the `update-mix` writer takes each update as
+    /// A fault for the tests: the writer takes each update as
     /// acknowledged without sending `/reload`, as a server would look that
     /// acknowledged a reload and kept serving the old snapshot.
     pub unpublished_reload: bool,
@@ -146,12 +145,11 @@ pub struct RunArgs {
 
 /// Run one workload.
 pub fn run(args: &RunArgs) -> Result<Outcome, String> {
-    match args.workload.as_str() {
-        "wire-miss" => wire_miss::run(args),
-        "update-mix" => update_mix::run(args),
-        "ingest-embed" => ingest_embed::run(args),
-        other => Err(format!(
-            "unknown workload {other:?} (known: {})",
+    match pipeline::Workload::parse(&args.workload) {
+        Some(w) => pipeline::run(w, args),
+        None => Err(format!(
+            "unknown workload {:?} (known: {})",
+            args.workload,
             WORKLOADS.join(", ")
         )),
     }

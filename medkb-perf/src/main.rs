@@ -4,14 +4,14 @@
 //! runs it repeatedly and prints each end-to-end metric's spread;
 //! `medkb-perf serve --store <image>` is the server under test, which the
 //! workloads start themselves. `--fault-unpublished-reload` makes the
-//! `update-mix` writer skip its `/reload` calls, for the tests.
+//! writer skip its `/reload` calls, for the tests.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use medkb_perf::{run, steady, RunArgs, Scale};
 
-const USAGE: &str = "usage: medkb-perf --workload <wire-miss|update-mix|ingest-embed> --seed <n> \
+const USAGE: &str = "usage: medkb-perf --workload <wire-miss|ingest-embed> --seed <n> \
                      --seconds <s> --trace <0|1> [--small]\n       \
                      medkb-perf steady --workload <name> --runs <n> [--seconds <s>] [--small]\n       \
                      medkb-perf serve --store <image>";

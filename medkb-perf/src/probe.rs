@@ -1,4 +1,4 @@
-//! Per-layer timings for the traced runs of the two wire workloads.
+//! Per-layer timings for the traced runs of the workloads.
 //!
 //! After the load phase, a sample of the requests the client sent is
 //! replayed in process through each layer's public functions, each call

@@ -122,8 +122,11 @@ pub fn run(workload: &str, runs: usize, seconds: Option<f64>, scale: Scale) -> R
             .iter()
             .filter_map(|r| r.metrics.iter().find(|(n, _)| n == name).map(|(_, v)| *v))
             .collect();
-        if values.len() < 2 {
-            continue;
+        if values.len() < runs {
+            return Err(format!(
+                "{name} is missing from {} of {runs} result lines",
+                runs - values.len()
+            ));
         }
         let m = median(&values);
         let (q1, q3) = quartiles(&values);

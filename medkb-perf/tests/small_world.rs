@@ -14,8 +14,8 @@ use medkb_perf::answer::{
 use medkb_perf::ingest_embed::{
     brute_force_best, check_flagged, check_ic, check_inverse, check_search,
 };
-use medkb_perf::inputs::{flagged_findings, serve_config, world_and_corpus, K};
-use medkb_perf::update_mix::check_epochs;
+use medkb_perf::inputs::{flagged_findings, serve_config, world_and_corpus, Scale, K};
+use medkb_perf::pipeline::{check_epochs, updates, Workload};
 use medkb_serve::http::router::render_relaxation;
 use medkb_serve::http::Json;
 use medkb_snomed::MedWorld;
@@ -67,74 +67,47 @@ fn run_small(workload: &str, trace: u8) -> Json {
     result
 }
 
-fn check_small_run(workload: &str, expected_e2e: &[&str]) {
-    let e2e = run_small(workload, 0);
-    assert_eq!(e2e.get("correct"), Some(&Json::Bool(true)));
-    assert_eq!(e2e.get("failed").and_then(Json::as_u64), Some(0));
-    assert!(e2e.get("attempted").and_then(Json::as_u64).unwrap_or(0) > 0);
+/// Both result lines of `workload` on the small world: correct, nothing
+/// failed, and exactly the metrics `BENCHMARK.json` lists.
+fn check_small_run(workload: &str) {
     let names = |doc: &Json| -> BTreeSet<String> {
         match doc.get("metrics") {
             Some(Json::Obj(fields)) => fields.iter().map(|(n, _)| n.clone()).collect(),
             _ => panic!("no metrics"),
         }
     };
-    let expected: BTreeSet<String> = expected_e2e.iter().map(|s| s.to_string()).collect();
-    assert_eq!(names(&e2e), expected);
-    assert!(expected.is_subset(&metric_names("end_to_end")));
-
-    let traced = run_small(workload, 1);
-    assert_eq!(traced.get("correct"), Some(&Json::Bool(true)));
-    let layers = names(&traced);
-    assert!(!layers.is_empty());
-    assert!(layers.is_subset(&metric_names("per_layer")), "{layers:?}");
+    for (trace, list) in [(0, "end_to_end"), (1, "per_layer")] {
+        let result = run_small(workload, trace);
+        assert_eq!(result.get("correct"), Some(&Json::Bool(true)));
+        assert_eq!(result.get("failed").and_then(Json::as_u64), Some(0));
+        assert!(result.get("attempted").and_then(Json::as_u64).unwrap_or(0) > 0);
+        assert_eq!(names(&result), metric_names(list), "{workload}, {list}");
+    }
 }
 
 #[test]
 fn wire_miss_small_world_passes_every_check() {
-    check_small_run(
-        "wire-miss",
-        &[
-            "setup_s",
-            "latency_p50_ms",
-            "throughput_qps",
-            "peak_rss_mb",
-            "store_mb",
-        ],
-    );
-}
-
-#[test]
-fn update_mix_small_world_passes_every_check() {
-    check_small_run(
-        "update-mix",
-        &[
-            "setup_s",
-            "latency_p50_ms",
-            "throughput_qps",
-            "freshness_ms",
-            "peak_rss_mb",
-            "store_mb",
-        ],
-    );
+    check_small_run("wire-miss");
 }
 
 #[test]
 fn ingest_embed_small_world_passes_every_check() {
-    check_small_run(
-        "ingest-embed",
-        &["setup_s", "ingest_s", "peak_rss_mb", "store_mb"],
-    );
+    check_small_run("ingest-embed");
 }
 
 #[test]
-fn every_per_layer_metric_is_reported_by_some_workload() {
-    let mut seen = BTreeSet::new();
-    for w in medkb_perf::WORKLOADS {
-        if let Some(Json::Obj(fields)) = run_small(w, 1).get("metrics") {
-            seen.extend(fields.iter().map(|(n, _)| n.clone()));
-        }
-    }
-    assert_eq!(seen, metric_names("per_layer"));
+fn the_workloads_are_those_of_benchmark_json() {
+    let text = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../BENCHMARK.json"))
+        .expect("BENCHMARK.json beside the benchmark");
+    let doc = Json::parse(&text).expect("BENCHMARK.json parses");
+    let listed: Vec<&str> = doc
+        .get("workloads")
+        .and_then(Json::as_arr)
+        .expect("workloads")
+        .iter()
+        .map(|w| w.get("name").and_then(Json::as_str).expect("name"))
+        .collect();
+    assert_eq!(listed, medkb_perf::WORKLOADS);
 }
 
 fn small_ingest() -> (MedWorld, IngestOutput) {
@@ -264,12 +237,12 @@ fn corrupted_epochs_fail_the_epoch_check() {
 
 #[test]
 fn a_reload_acknowledged_but_not_published_fails_the_run() {
-    let (ok, result, stderr) = run_small_with("update-mix", 0, &["--fault-unpublished-reload"]);
+    let (ok, result, stderr) = run_small_with("wire-miss", 0, &["--fault-unpublished-reload"]);
     assert!(!ok, "the run passed:\n{stderr}");
     assert_eq!(result.get("correct"), Some(&Json::Bool(false)), "{stderr}");
     assert_eq!(
         result.get("failed").and_then(Json::as_u64),
-        Some(medkb_perf::update_mix::UPDATES as u64),
+        Some(updates(Workload::WireMiss, Scale::Small) as u64),
         "every unseen epoch is a failed update"
     );
     assert!(
@@ -376,9 +349,9 @@ fn steadiness_command_reports_each_metric_against_its_bound() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    for metric in ["setup_s", "ingest_s", "peak_rss_mb", "store_mb"] {
+    for metric in metric_names("end_to_end") {
         assert!(
-            stdout.lines().any(|l| l.starts_with(metric)),
+            stdout.lines().any(|l| l.starts_with(metric.as_str())),
             "{metric} missing:\n{stdout}"
         );
     }
