@@ -19,9 +19,7 @@ pub mod steady;
 pub mod trace;
 
 pub use inputs::Scale;
-
-/// The workloads, in the order `BENCHMARK.json` lists them.
-pub const WORKLOADS: [&str; 2] = ["wire-miss", "ingest-embed"];
+pub use pipeline::Workload;
 
 /// One reported metric.
 #[derive(Debug, Clone, PartialEq)]
@@ -145,12 +143,12 @@ pub struct RunArgs {
 
 /// Run one workload.
 pub fn run(args: &RunArgs) -> Result<Outcome, String> {
-    match pipeline::Workload::parse(&args.workload) {
+    match Workload::parse(&args.workload) {
         Some(w) => pipeline::run(w, args),
         None => Err(format!(
             "unknown workload {:?} (known: {})",
             args.workload,
-            WORKLOADS.join(", ")
+            Workload::ALL.map(Workload::name).join(", ")
         )),
     }
 }

@@ -67,13 +67,12 @@ pub enum Workload {
 }
 
 impl Workload {
+    /// Every workload, in the order `BENCHMARK.json` lists them.
+    pub const ALL: [Workload; 2] = [Self::WireMiss, Self::IngestEmbed];
+
     /// The workload called `name` in `BENCHMARK.json`.
     pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "wire-miss" => Some(Self::WireMiss),
-            "ingest-embed" => Some(Self::IngestEmbed),
-            _ => None,
-        }
+        Self::ALL.into_iter().find(|w| w.name() == name)
     }
 
     /// Its name in `BENCHMARK.json`.

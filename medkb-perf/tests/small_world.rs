@@ -107,7 +107,7 @@ fn the_workloads_are_those_of_benchmark_json() {
         .iter()
         .map(|w| w.get("name").and_then(Json::as_str).expect("name"))
         .collect();
-    assert_eq!(listed, medkb_perf::WORKLOADS);
+    assert_eq!(listed, Workload::ALL.map(Workload::name));
 }
 
 fn small_ingest() -> (MedWorld, IngestOutput) {
